@@ -556,7 +556,7 @@ func (s *sinkTap) PublishEnvelope(env *codec.Envelope) error { s.sink(env); retu
 
 func (s *sinkTap) SetSink(sink func(*codec.Envelope)) { s.sink = sink }
 
-func (s *sinkTap) SubscriptionChanged([]core.SubscriptionInfo) error { return nil }
+func (s *sinkTap) SubscriptionChanged([]core.SubscriptionInfo, []string) error { return nil }
 
 func (s *sinkTap) Close() error { return nil }
 
@@ -1378,6 +1378,64 @@ func BenchmarkDurablePublish(b *testing.B) {
 			want := int64(b.N)
 			waitUntil(b, time.Minute, func() bool { return got.Load() >= want })
 			b.StopTimer()
+		})
+	}
+}
+
+// BenchmarkSubscribeChurn times one subscription change pair — an
+// Activate and a Deactivate of a filtered subscription — beside a
+// standing set of n active subscriptions on a two-node DACE pair over
+// netsim. The timer also covers the publisher catching up with the last
+// change, so a backlog of advertisements at the publisher counts. The
+// control plane applies deltas, so ns/op must stay flat as n grows (CI
+// gates 8000 against 500).
+func BenchmarkSubscribeChurn(b *testing.B) {
+	for _, n := range []int{500, 2000, 8000} {
+		b.Run(fmt.Sprintf("standing=%d", n), func(b *testing.B) {
+			net := netsim.New(netsim.Config{})
+			defer net.Close()
+			nodes, engines := benchDomain(b, net, 2, dace.Config{Multicast: fastOpts()})
+			pub, sub := nodes[0], engines[1]
+			// The standing set is filterless: a full-set snapshot of n
+			// filtered subscriptions would outgrow the control plane's
+			// advertisement size cap at 8000.
+			for i := 0; i < n; i++ {
+				s, err := core.Subscribe(sub, nil, func(workload.StockQuote) {})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := s.Activate(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			churn, err := core.Subscribe(sub, filter.Path("GetPrice").Lt(filter.Float(100)), func(workload.StockQuote) {})
+			if err != nil {
+				b.Fatal(err)
+			}
+			marker, err := core.Subscribe(sub, nil, func(workload.StockQuote) {})
+			if err != nil {
+				b.Fatal(err)
+			}
+			waitUntil(b, time.Minute, func() bool { return pub.RemoteSubscriptionCount() == n })
+			net.Settle()
+
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := churn.Activate(); err != nil {
+					b.Fatal(err)
+				}
+				if err := churn.Deactivate(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			// Deltas apply in sequence order, so the publisher seeing
+			// the marker means it has applied every change before it.
+			if err := marker.Activate(); err != nil {
+				b.Fatal(err)
+			}
+			waitUntil(b, time.Minute, func() bool { return pub.RemoteSubscriptionCount() == n+1 })
+			b.StopTimer()
+			_ = marker.Deactivate()
 		})
 	}
 }

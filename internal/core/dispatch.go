@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -21,6 +23,9 @@ import (
 // The table is an immutable snapshot of the active subscription set,
 // republished through an atomic pointer on every activate/deactivate, so
 // the per-envelope hot path never takes the engine mutex and never sorts.
+// A change derives the next table from the previous one, copying only
+// the part of the target group it touches, so its cost does not grow
+// with the number of other standing subscriptions.
 // Each concrete obvent class gets a lazily compiled bucket holding its
 // candidate subscriptions (expanded through the registry's conformance
 // relation) and a compound matcher (package matching) that factors all
@@ -216,7 +221,7 @@ type dispatchTable struct {
 	reg *obvent.Registry
 	// byTarget maps each subscribed type name to its active
 	// subscriptions, each group sorted by subscription ID.
-	byTarget map[string][]*Subscription
+	byTarget map[string]group
 	// targets is the sorted key set of byTarget, for deterministic
 	// bucket compilation order.
 	targets []string
@@ -245,22 +250,170 @@ type typeBucket struct {
 	byID map[string]*Subscription
 }
 
-// newDispatchTable snapshots the active subscription set. Caller must
-// not hold subscription mutexes.
-func newDispatchTable(reg *obvent.Registry, subs map[string]*Subscription) *dispatchTable {
-	t := &dispatchTable{reg: reg, byTarget: make(map[string][]*Subscription)}
-	for _, s := range subs {
-		if !s.active() {
-			continue
-		}
-		t.byTarget[s.typeName] = append(t.byTarget[s.typeName], s)
+// group is one target's active subscriptions in ID order, stored as
+// consecutive runs of fewer than 2*groupRun members: a change copies
+// the run it touches and the run index, never the whole group, so its
+// cost stays flat as the group grows.
+type group [][]*Subscription
+
+// groupRun is the run length groups are built with; a run that grows to
+// twice this is split.
+const groupRun = 64
+
+// newGroup builds a group from ID-sorted subscriptions.
+func newGroup(sorted []*Subscription) group {
+	var g group
+	for len(sorted) > 0 {
+		n := min(groupRun, len(sorted))
+		g = append(g, sorted[:n:n])
+		sorted = sorted[n:]
 	}
-	for name, group := range t.byTarget {
-		sort.Slice(group, func(i, j int) bool { return group[i].id < group[j].id })
+	return g
+}
+
+// flat returns the group's subscriptions in ID order.
+func (g group) flat() []*Subscription {
+	var out []*Subscription
+	for _, run := range g {
+		out = append(out, run...)
+	}
+	return out
+}
+
+// find locates the run that holds id, or would hold it, and the
+// position within that run.
+func (g group) find(id string) (r, i int) {
+	r = sort.Search(len(g), func(r int) bool { return g[r][len(g[r])-1].id >= id })
+	if r == len(g) {
+		if r == 0 {
+			return 0, 0
+		}
+		r--
+	}
+	return r, sort.Search(len(g[r]), func(i int) bool { return g[r][i].id >= id })
+}
+
+// with returns the group with s inserted in ID order.
+func (g group) with(s *Subscription) group {
+	if len(g) == 0 {
+		return group{{s}}
+	}
+	r, i := g.find(s.id)
+	run := slices.Insert(slices.Clip(g[r]), i, s) // copies: runs are shared
+	ng := slices.Clone(g)
+	if len(run) < 2*groupRun {
+		ng[r] = run
+		return ng
+	}
+	half := len(run) / 2
+	ng[r] = run[:half:half]
+	return slices.Insert(ng, r+1, run[half:])
+}
+
+// without returns the group with s removed (unchanged if absent).
+func (g group) without(s *Subscription) group {
+	if len(g) == 0 {
+		return g
+	}
+	r, i := g.find(s.id)
+	if i == len(g[r]) || g[r][i] != s {
+		return g
+	}
+	if len(g[r]) == 1 {
+		return slices.Delete(slices.Clone(g), r, r+1)
+	}
+	ng := slices.Clone(g)
+	ng[r] = slices.Delete(slices.Clone(g[r]), i, i+1)
+	return ng
+}
+
+// newDispatchTable snapshots the active subscription set from scratch.
+// The engine derives its tables incrementally (with); this full build
+// is the reference the incremental tables are tested against. Caller
+// must not hold subscription mutexes.
+func newDispatchTable(reg *obvent.Registry, subs map[string]*Subscription) *dispatchTable {
+	byTarget := make(map[string][]*Subscription)
+	for _, s := range subs {
+		if s.active() {
+			byTarget[s.typeName] = append(byTarget[s.typeName], s)
+		}
+	}
+	t := &dispatchTable{reg: reg, byTarget: make(map[string]group, len(byTarget))}
+	for name, members := range byTarget {
+		sortByID(members)
+		t.byTarget[name] = newGroup(members)
 		t.targets = append(t.targets, name)
 	}
 	sort.Strings(t.targets)
 	return t
+}
+
+// with derives the table that follows t after one change: added
+// subscriptions join their target groups and removed ones leave them.
+// Untouched groups are shared with t, and a touched group copies only
+// the runs the change lands in. The bucket cache starts empty — buckets
+// compile lazily against the new table.
+func (t *dispatchTable) with(added, removed []*Subscription) *dispatchTable {
+	nt := &dispatchTable{reg: t.reg, byTarget: make(map[string]group, len(t.byTarget)+1)}
+	for name, g := range t.byTarget {
+		nt.byTarget[name] = g
+	}
+	for _, s := range removed {
+		nt.byTarget[s.typeName] = nt.byTarget[s.typeName].without(s)
+	}
+	for _, s := range added {
+		nt.byTarget[s.typeName] = nt.byTarget[s.typeName].with(s)
+	}
+	keysChanged := false
+	for name, g := range nt.byTarget {
+		if len(g) == 0 {
+			delete(nt.byTarget, name)
+		}
+		if (len(g) == 0) != (len(t.byTarget[name]) == 0) {
+			keysChanged = true
+		}
+	}
+	if !keysChanged {
+		nt.targets = t.targets
+		return nt
+	}
+	for name := range nt.byTarget {
+		nt.targets = append(nt.targets, name)
+	}
+	sort.Strings(nt.targets)
+	return nt
+}
+
+// CheckDispatchTable reports how the live dispatch table, derived change
+// by change, differs from a from-scratch build of the active set: the
+// same targets, each with the same ID-sorted group. A consistency check
+// for tests and debugging; nil means equal.
+func (e *Engine) CheckDispatchTable() error {
+	e.ctl.Lock()
+	defer e.ctl.Unlock()
+	e.mu.Lock()
+	want := newDispatchTable(e.reg, e.subs)
+	e.mu.Unlock()
+	got := e.table.Load()
+	if !slices.Equal(got.targets, want.targets) {
+		return fmt.Errorf("dispatch table targets %v, rebuild has %v", got.targets, want.targets)
+	}
+	for _, name := range want.targets {
+		g, w := got.byTarget[name].flat(), want.byTarget[name].flat()
+		if !slices.Equal(g, w) {
+			return fmt.Errorf("dispatch table group %s has %d subscriptions, rebuild has %d (or a different order)",
+				name, len(g), len(w))
+		}
+	}
+	if len(got.byTarget) != len(want.byTarget) {
+		return fmt.Errorf("dispatch table has %d groups, rebuild has %d", len(got.byTarget), len(want.byTarget))
+	}
+	return nil
+}
+
+// sortByID orders subscriptions by ID, the deterministic dispatch order.
+func sortByID(subs []*Subscription) {
+	sort.Slice(subs, func(i, j int) bool { return subs[i].id < subs[j].id })
 }
 
 // bucket returns the compiled dispatch state for a concrete class,
@@ -290,13 +443,15 @@ func (t *dispatchTable) compileBucket(concrete string, gen uint64) *typeBucket {
 	var cands []*Subscription
 	for _, target := range t.targets {
 		if t.reg.ConformsTo(concrete, target) {
-			cands = append(cands, t.byTarget[target]...)
+			for _, run := range t.byTarget[target] {
+				cands = append(cands, run...)
+			}
 		}
 	}
 	if len(cands) == 0 {
 		return &typeBucket{gen: gen}
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].id < cands[j].id })
+	sortByID(cands)
 
 	b := &typeBucket{gen: gen, subs: cands}
 	var filters map[string]*filter.Expr
@@ -494,8 +649,7 @@ func (e *Engine) dispatchNaive(env *codec.Envelope, ln *laneState) {
 		subs = append(subs, s)
 	}
 	e.mu.Unlock()
-	// Deterministic dispatch order (map iteration is random).
-	sort.Slice(subs, func(i, j int) bool { return subs[i].id < subs[j].id })
+	sortByID(subs) // deterministic dispatch order (map iteration is random)
 
 	ordered := e.orderedDelivery(env)
 	// One clone source per envelope — the same decode entry point as the
@@ -561,16 +715,4 @@ func (e *Engine) dispatchNaive(env *codec.Envelope, ln *laneState) {
 func (e *Engine) noteDrop(env *codec.Envelope, r telemetry.Reason) {
 	e.tele.Drop(r)
 	e.tele.Trace(env.ID, env.Type, telemetry.StageDispatch, 0, r.String())
-}
-
-// rebuildTable republishes the dispatch table from the current
-// subscription set. Called whenever the active set changes. Snapshot
-// and Store happen under the engine mutex so concurrent
-// activate/deactivate calls cannot publish tables out of snapshot
-// order (a stale table overwriting a newer one would silently drop an
-// active subscription from dispatch until the next change).
-func (e *Engine) rebuildTable() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.table.Store(newDispatchTable(e.reg, e.subs))
 }

@@ -5,7 +5,6 @@ import (
 	"log/slog"
 	"reflect"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,11 +27,17 @@ type Disseminator interface {
 	// SetSink installs the engine's delivery entry point. It must be
 	// called once before any traffic flows.
 	SetSink(sink func(env *codec.Envelope))
-	// SubscriptionChanged notifies the substrate that the set of
-	// local subscriptions changed (for advertisement to filtering
-	// hosts / membership maintenance). info lists all currently
-	// active local subscriptions.
-	SubscriptionChanged(info []SubscriptionInfo) error
+	// SubscriptionChanged reports one change to the set of active local
+	// subscriptions, for advertisement to filtering hosts: added are the
+	// subscriptions activated by the change and removed the IDs of
+	// those deactivated. The engine calls it once per Activate or
+	// Deactivate and once for a whole Close, serially and in the order
+	// the changes took effect, so the substrate can maintain the set by
+	// applying deltas. An implementation must not call back into the
+	// engine's subscription lifecycle. Resynchronizing peers that missed
+	// a change is the substrate's business (DACE resends its full set as
+	// a periodic snapshot); the engine never resends its set.
+	SubscriptionChanged(added []SubscriptionInfo, removed []string) error
 	// Close releases the substrate.
 	Close() error
 }
@@ -67,8 +72,13 @@ type Engine struct {
 	codec *codec.Codec
 	diss  Disseminator
 
-	mu     sync.Mutex
-	subs   map[string]*Subscription
+	mu   sync.Mutex
+	subs map[string]*Subscription
+	// ctl serializes subscription changes: the activation flag flip,
+	// the derived dispatch table and the substrate delta happen as one
+	// step, so tables are published and deltas reported in change
+	// order. Lock order: ctl, then e.mu, then a subscription's mu.
+	ctl    sync.Mutex
 	nextID int
 	closed bool
 
@@ -81,8 +91,8 @@ type Engine struct {
 	lanes *laneSet
 
 	// table is the copy-on-write dispatch index (see dispatch.go):
-	// republished on every activation change, loaded lock-free per
-	// envelope.
+	// derived from its predecessor on every activation change (under
+	// ctl), loaded lock-free per envelope.
 	table atomic.Pointer[dispatchTable]
 	// handlerPanics counts application handler panics recovered by the
 	// delivery pipeline: a panicking handler must not take down the
@@ -282,7 +292,9 @@ func (e *Engine) Registry() *obvent.Registry { return e.reg }
 // Codec returns the engine's codec (used by substrates and tools).
 func (e *Engine) Codec() *codec.Codec { return e.codec }
 
-// Close deactivates all subscriptions and shuts the engine down.
+// Close deactivates all subscriptions — as one change: one table
+// publish and at most one removal delta to the substrate — and shuts
+// the engine down.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -296,8 +308,10 @@ func (e *Engine) Close() error {
 	}
 	e.mu.Unlock()
 
+	e.ctl.Lock()
+	_ = e.retireLocked(subs) // best effort: the substrate closes next
+	e.ctl.Unlock()
 	for _, s := range subs {
-		_ = s.Deactivate() // best effort; already-inactive is fine
 		s.executor.close()
 	}
 	e.lanes.close()
@@ -350,27 +364,26 @@ func (e *Engine) register(s *Subscription) error {
 	return nil
 }
 
-// infoLocked snapshots all active subscriptions for the substrate.
-func (e *Engine) infoLocked() []SubscriptionInfo {
-	infos := make([]SubscriptionInfo, 0, len(e.subs))
-	for _, s := range e.subs {
-		if !s.active() {
-			continue
+// retireLocked deactivates every still-active subscription in subs as
+// one change: one derived table and one removal delta. Caller holds
+// e.ctl.
+func (e *Engine) retireLocked(subs []*Subscription) error {
+	var gone []*Subscription
+	var ids []string
+	for _, s := range subs {
+		s.mu.Lock()
+		if s.activated {
+			s.activated = false
+			gone = append(gone, s)
+			ids = append(ids, s.id)
 		}
-		infos = append(infos, s.info())
+		s.mu.Unlock()
 	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].ID < infos[j].ID })
-	return infos
-}
-
-// subscriptionChanged recompiles the dispatch index and pushes the
-// current subscription set to the substrate.
-func (e *Engine) subscriptionChanged() error {
-	e.rebuildTable()
-	e.mu.Lock()
-	infos := e.infoLocked()
-	e.mu.Unlock()
-	return e.diss.SubscriptionChanged(infos)
+	if len(gone) == 0 {
+		return nil
+	}
+	e.table.Store(e.table.Load().with(nil, gone))
+	return e.diss.SubscriptionChanged(nil, ids)
 }
 
 // SubscribeDynamic creates a subscription to the (possibly abstract)
@@ -399,10 +412,20 @@ func (e *Engine) SubscribeDynamic(t reflect.Type, remote *filter.Expr, local fun
 	s := &Subscription{
 		engine:       e,
 		typeName:     typeName,
-		goType:       t,
 		remoteFilter: remote,
+		certified:    certifiedType(t),
 		localFilter:  local,
 		handler:      handler,
+	}
+	if remote != nil {
+		// The canonical form makes semantically identical filters of
+		// different subscribers byte-identical on the wire, so filtering
+		// hosts can deduplicate them by bytes alone (routing plan keys).
+		fb, err := filter.MarshalCanonical(remote)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrCannotSubscribe, err)
+		}
+		s.filterBytes = fb
 	}
 	s.executor = newExecutor(s.invoke, e.tele, e.stallBudget, e.mailbox, &e.overload)
 	if err := e.register(s); err != nil {

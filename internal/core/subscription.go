@@ -21,11 +21,16 @@ type Subscription struct {
 	id       string
 	engine   *Engine
 	typeName string
-	goType   reflect.Type
 
 	remoteFilter *filter.Expr
-	localFilter  func(obvent.Obvent) bool
-	handler      func(obvent.Obvent)
+	// filterBytes is remoteFilter's canonical wire form and certified
+	// whether the subscribed type requests certified delivery. Both are
+	// fixed at Subscribe, so every activation advertises them without
+	// re-encoding the filter or re-walking the type.
+	filterBytes []byte
+	certified   bool
+	localFilter func(obvent.Obvent) bool
+	handler     func(obvent.Obvent)
 	// deliveryHandler, when set, is invoked instead of handler and
 	// additionally receives the delivery metadata (event ID, concrete
 	// class). Durable subscriptions use it to acknowledge exactly the
@@ -54,36 +59,28 @@ func (s *Subscription) Active() bool {
 // active is the internal spelling used by the engine snapshot paths.
 func (s *Subscription) active() bool { return s.Active() }
 
-// info snapshots the substrate-visible description.
+// info is the substrate-visible description.
 func (s *Subscription) info() SubscriptionInfo {
 	s.mu.Lock()
-	durable := s.durableID
+	durableID := s.durableID
 	s.mu.Unlock()
-	var fb []byte
-	if s.remoteFilter != nil {
-		// Validation happened at Subscribe; Marshal cannot fail then.
-		// The canonical form makes semantically identical filters of
-		// different subscribers byte-identical on the wire, so filtering
-		// hosts can deduplicate them by bytes alone (routing plan keys).
-		fb, _ = filter.MarshalCanonical(s.remoteFilter)
-	}
 	return SubscriptionInfo{
 		ID:        s.id,
 		TypeName:  s.typeName,
-		Filter:    fb,
-		DurableID: durable,
-		Certified: s.certifiedType(),
+		Filter:    s.filterBytes,
+		DurableID: durableID,
+		Certified: s.certified,
 	}
 }
 
-// certifiedType reports whether the subscribed type itself requests
+// certifiedType reports whether a subscribed type itself requests
 // certified delivery (determinable only for concrete types).
-func (s *Subscription) certifiedType() bool {
-	if s.goType.Kind() == reflect.Interface {
-		return s.goType.Implements(obvent.TypeOf[obvent.Certified]())
+func certifiedType(t reflect.Type) bool {
+	cert := obvent.TypeOf[obvent.Certified]()
+	if t.Kind() == reflect.Interface {
+		return t.Implements(cert)
 	}
-	return reflect.PointerTo(s.goType).Implements(obvent.TypeOf[obvent.Certified]()) ||
-		s.goType.Implements(obvent.TypeOf[obvent.Certified]())
+	return reflect.PointerTo(t).Implements(cert) || t.Implements(cert)
 }
 
 // Activate starts delivery for this subscription — the effective action
@@ -106,6 +103,9 @@ func (s *Subscription) ActivateDurable(durableID string) error {
 }
 
 func (s *Subscription) activate(durableID string) error {
+	e := s.engine
+	e.ctl.Lock()
+	defer e.ctl.Unlock()
 	s.mu.Lock()
 	if s.activated {
 		s.mu.Unlock()
@@ -115,10 +115,13 @@ func (s *Subscription) activate(durableID string) error {
 	s.durableID = durableID
 	s.mu.Unlock()
 
-	if err := s.engine.subscriptionChanged(); err != nil {
+	one := []*Subscription{s}
+	e.table.Store(e.table.Load().with(one, nil))
+	if err := e.diss.SubscriptionChanged([]SubscriptionInfo{s.info()}, nil); err != nil {
 		s.mu.Lock()
 		s.activated = false
 		s.mu.Unlock()
+		e.table.Store(e.table.Load().with(nil, one))
 		return fmt.Errorf("%w: %w", ErrCannotSubscribe, err)
 	}
 	return nil
@@ -129,15 +132,13 @@ func (s *Subscription) activate(durableID string) error {
 // Activation and deactivation can be interleaved an unlimited number of
 // times; a deactivated subscription handle stays valid.
 func (s *Subscription) Deactivate() error {
-	s.mu.Lock()
-	if !s.activated {
-		s.mu.Unlock()
+	e := s.engine
+	e.ctl.Lock()
+	defer e.ctl.Unlock()
+	if !s.Active() {
 		return fmt.Errorf("%w: subscription %s not active", ErrCannotUnsubscribe, s.id)
 	}
-	s.activated = false
-	s.mu.Unlock()
-
-	if err := s.engine.subscriptionChanged(); err != nil {
+	if err := e.retireLocked([]*Subscription{s}); err != nil {
 		return fmt.Errorf("%w: %w", ErrCannotUnsubscribe, err)
 	}
 	return nil

@@ -60,6 +60,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"log/slog"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -170,12 +171,16 @@ type Node struct {
 	// locking and is never touched under n.mu.
 	routes *routing.Table
 
-	mu        sync.Mutex
-	peers     []string
-	sink      func(*codec.Envelope)
-	localSubs []core.SubscriptionInfo
-	groups    map[string]multicast.Group
-	closed    bool
+	mu    sync.Mutex
+	peers []string
+	sink  func(*codec.Envelope)
+	// local holds the active local subscriptions by ID, maintained from
+	// the engine's change deltas; durable is its subset with a durable
+	// identity.
+	local   map[string]core.SubscriptionInfo
+	durable map[string]core.SubscriptionInfo
+	groups  map[string]multicast.Group
+	closed  bool
 
 	// epoch is this process incarnation's boot stamp, carried in every
 	// advertisement so peers can tell a restarted node (whose ad
@@ -183,11 +188,16 @@ type Node struct {
 	// previous life. See routing.Table.NoteEpoch.
 	epoch int64
 
-	adVer        int                              // ad schema version we advertise (adSchemaVersion, capped by LegacyWire)
-	adSeq        uint64                           // our advertisement sequence number
-	lastAdv      map[string]core.SubscriptionInfo // snapshot described by ad adSeq (delta base)
-	adsSinceSnap int                              // deltas sent since the last full snapshot
-	peerVer      map[string]int                   // newest ad schema version witnessed per node
+	adVer        int            // ad schema version we advertise (adSchemaVersion, capped by LegacyWire)
+	adSeq        uint64         // our advertisement sequence number
+	adsSinceSnap int            // deltas sent since the last full snapshot
+	chgSinceSnap int            // changes (added + removed) those deltas carried
+	peerVer      map[string]int // newest ad schema version witnessed per node
+	resync       []string       // nodes to ask for a full snapshot in our next ad
+	// advMu orders our own ads into the routing table: it is held from
+	// sequence assignment until the ad's change is applied under our
+	// address, so the self entry advances one sequence at a time.
+	advMu sync.Mutex
 
 	control *multicast.Reliable
 
@@ -242,9 +252,16 @@ const (
 // let one corrupt or hostile peer allocate unbounded decode state.
 const maxAdBytes = 1 << 20
 
-// snapshotEvery bounds how many consecutive delta ads may be sent
-// before a full snapshot is forced, so a node that somehow lost the
-// chain resynchronizes within a bounded number of changes.
+// snapshotEvery bounds runs of delta ads: once this many deltas were
+// sent since the last full snapshot, the next heartbeat is a snapshot,
+// so a receiver that lost the chain resynchronizes within a bounded
+// number of heartbeats (the re-entry window routing.Table.ExpireSilent
+// relies on). A change-carrying delta may extend the run while the
+// run's changes do not outnumber the set — for a set of at most
+// snapshotEvery subscriptions that is the plain every-snapshotEvery
+// rule — because a snapshot costs time in the size of the set, and this
+// keeps its cost O(1) per change. A receiver whose chain broke does not
+// wait for the run to end: it asks for a snapshot (subscriptionAd.Resync).
 const snapshotEvery = 8
 
 // subscriptionAd is the reflexive control obvent: the paper's
@@ -285,6 +302,11 @@ type subscriptionAd struct {
 	// check. Gob's unknown-field tolerance makes this a compatible
 	// addition — no ad schema version bump needed.
 	Epoch int64
+	// Resync names the nodes whose delta chain broke at the sender (the
+	// routing table had to drop one of their parked deltas); each named
+	// node answers with a full snapshot. Older binaries ignore the
+	// field and repair on their periodic snapshots alone.
+	Resync []string
 }
 
 // NewNode creates a DACE node over a transport endpoint. The registry
@@ -307,10 +329,14 @@ func NewNode(tr netsim.Transport, reg *obvent.Registry, cfg Config) *Node {
 		cdc:     codec.New(reg),
 		cfg:     cfg,
 		routes:  routing.NewTable(reg),
+		local:   make(map[string]core.SubscriptionInfo),
+		durable: make(map[string]core.SubscriptionInfo),
 		groups:  make(map[string]multicast.Group),
-		lastAdv: make(map[string]core.SubscriptionInfo),
 		peerVer: make(map[string]int),
 	}
+	// Our own entry starts as the empty set at sequence 0; every ad we
+	// send applies its change on top of the previous one.
+	n.routes.ApplySnapshot(n.self, 0, nil)
 	n.destBuf.New = func() any { return &destScratch{} }
 	n.epoch = time.Now().UnixNano()
 	n.tele = cfg.Telemetry
@@ -371,7 +397,7 @@ func (n *Node) heartbeatLoop(ttl time.Duration) {
 		case <-n.hbStop:
 			return
 		case <-tick.C:
-			n.advertise(false)
+			n.advertise(nil, nil, false)
 			if expired := n.routes.ExpireSilent(n.self); len(expired) > 0 {
 				n.dropPeers(expired)
 			}
@@ -437,7 +463,7 @@ func (n *Node) SetPeers(peers []string) {
 	n.control.SetMembers(peers)
 	n.setGroupsMembers(groups, peers)
 	// Full snapshot: a joiner gaining membership has no delta base.
-	n.advertise(true)
+	n.advertise(nil, nil, true)
 }
 
 // groupsSnapshotLocked snapshots the live groups with their streams.
@@ -620,14 +646,18 @@ func (n *Node) groupLocked(proto, class, stream string) multicast.Group {
 
 // durableIDForLocked resolves the durable identity this node
 // acknowledges under for one certified class: the durable ID of the
-// first local subscription conforming to the class, else the node-wide
+// conforming local subscription with the lowest ID, else the node-wide
 // Config.DurableID, else empty (the group falls back to the node
 // address). Callers hold n.mu.
 func (n *Node) durableIDForLocked(class string) string {
-	for _, info := range n.localSubs {
-		if info.DurableID != "" && n.reg.ConformsTo(class, info.TypeName) {
-			return info.DurableID
+	var best core.SubscriptionInfo
+	for _, info := range n.durable {
+		if (best.ID == "" || info.ID < best.ID) && n.reg.ConformsTo(class, info.TypeName) {
+			best = info
 		}
+	}
+	if best.ID != "" {
+		return best.DurableID
 	}
 	return n.cfg.DurableID
 }
@@ -1175,82 +1205,91 @@ func (n *Node) onData(stream string, payload []byte) {
 
 // --- control plane ---
 
-// SubscriptionChanged implements core.Disseminator.
-func (n *Node) SubscriptionChanged(infos []core.SubscriptionInfo) error {
+// SubscriptionChanged implements core.Disseminator: it applies the
+// engine's change to the local set and advertises it.
+func (n *Node) SubscriptionChanged(added []core.SubscriptionInfo, removed []string) error {
 	n.mu.Lock()
-	n.localSubs = append([]core.SubscriptionInfo(nil), infos...)
-	// Certified groups created before a durable activation must learn
-	// the durable identity they now acknowledge under.
-	for stream, g := range n.groups {
-		c, ok := g.(*multicast.Certified)
-		if !ok {
-			continue
+	durableChanged := false
+	for _, id := range removed {
+		delete(n.local, id)
+		if _, ok := n.durable[id]; ok {
+			delete(n.durable, id)
+			durableChanged = true
 		}
-		class := strings.TrimPrefix(stream, "dace/cert/")
-		if class == stream {
-			continue
+	}
+	for _, info := range added {
+		n.local[info.ID] = info
+		if info.DurableID != "" {
+			n.durable[info.ID] = info
+			durableChanged = true
 		}
-		if id := n.durableIDForLocked(class); id != "" {
-			c.SetDurableID(id)
+	}
+	if durableChanged {
+		// Certified groups created before a durable activation must
+		// learn the durable identity they now acknowledge under.
+		for stream, g := range n.groups {
+			c, ok := g.(*multicast.Certified)
+			if !ok {
+				continue
+			}
+			class := strings.TrimPrefix(stream, "dace/cert/")
+			if class == stream {
+				continue
+			}
+			if id := n.durableIDForLocked(class); id != "" {
+				c.SetDurableID(id)
+			}
 		}
 	}
 	n.mu.Unlock()
-	n.advertise(false)
+	n.advertise(added, removed, false)
 	return nil
 }
 
-// advertise publishes this node's subscription state on the control
-// channel — as an obvent, per the reflexive design of §4.2 — and
-// mirrors it into the local routing table under our own address. When
-// the change against the previously advertised snapshot is small, the
-// wire carries a delta (add/remove per subscription ID) instead of the
-// full set; a full snapshot is forced by forceSnapshot (membership
-// changes, anti-entropy introductions), every snapshotEvery deltas,
-// and whenever a legacy (snapshot-only) peer has been witnessed.
+// advertise publishes one change of this node's subscription set on the
+// control channel — as an obvent, per the reflexive design of §4.2 —
+// and applies it to the local routing table under our own address. The
+// change (added infos, removed IDs) is the engine's delta, or empty for
+// heartbeats and re-introductions. The wire carries that delta when it
+// is smaller than the set; a full snapshot of the set is sent instead
+// when forceSnapshot is set (membership changes, anti-entropy
+// introductions), at the end of a delta run (see snapshotEvery), and
+// whenever a legacy (snapshot-only) peer has been witnessed. Only a
+// snapshot costs time in the size of the set.
 //
-// Only the sequence bump and diff run under n.mu; gob encoding and the
-// control broadcast happen outside every lock.
-func (n *Node) advertise(forceSnapshot bool) {
+// Gob encoding and the control broadcast happen outside every lock.
+func (n *Node) advertise(added []core.SubscriptionInfo, removed []string, forceSnapshot bool) {
+	n.advMu.Lock()
 	n.mu.Lock()
 	n.adSeq++
-	ad := subscriptionAd{Node: n.self, Seq: n.adSeq, Ver: n.adVer, Epoch: n.epoch}
-	cur := append([]core.SubscriptionInfo(nil), n.localSubs...)
-
-	var added []core.SubscriptionInfo
-	var removed []string
-	curByID := make(map[string]core.SubscriptionInfo, len(cur))
-	for _, info := range cur {
-		curByID[info.ID] = info
-		prev, ok := n.lastAdv[info.ID]
-		if !ok || !sameInfo(prev, info) {
-			added = append(added, info)
-		}
-	}
-	for id := range n.lastAdv {
-		if _, ok := curByID[id]; !ok {
-			removed = append(removed, id)
-		}
-	}
-	n.lastAdv = curByID
-
+	ad := subscriptionAd{Node: n.self, Seq: n.adSeq, Ver: n.adVer, Epoch: n.epoch, Resync: n.resync}
+	n.resync = nil
+	changes := len(added) + len(removed)
+	runOpen := n.adsSinceSnap < snapshotEvery ||
+		(changes > 0 && n.chgSinceSnap+changes <= len(n.local))
 	useDelta := !forceSnapshot && n.allPeersSpeakDeltasLocked() && n.adSeq > 1 &&
-		n.adsSinceSnap < snapshotEvery && len(added)+len(removed) < len(cur)
+		runOpen && changes < len(n.local)
 	if useDelta {
 		n.adsSinceSnap++
+		n.chgSinceSnap += changes
 		ad.Delta = true
 		ad.BaseSeq = n.adSeq - 1
 		ad.Subs = added
 		ad.Removed = removed
 	} else {
-		n.adsSinceSnap = 0
-		ad.Subs = cur
+		n.adsSinceSnap, n.chgSinceSnap = 0, 0
+		ad.Subs = make([]core.SubscriptionInfo, 0, len(n.local))
+		for _, info := range n.local {
+			ad.Subs = append(ad.Subs, info)
+		}
 	}
 	closed := n.closed
 	n.mu.Unlock()
 
 	// Our own state enters the routing table directly (the control
 	// echo of our broadcast is discarded in onControl).
-	n.routes.ApplySnapshot(n.self, ad.Seq, cur)
+	n.routes.ApplyDelta(n.self, ad.Seq, ad.Seq-1, added, removed)
+	n.advMu.Unlock()
 	if closed {
 		return
 	}
@@ -1295,13 +1334,6 @@ func (n *Node) allPeersWireCapable() bool {
 	return true
 }
 
-// sameInfo reports whether two advertised descriptions are identical
-// (filters compare by their canonical wire bytes).
-func sameInfo(a, b core.SubscriptionInfo) bool {
-	return a.ID == b.ID && a.TypeName == b.TypeName && a.DurableID == b.DurableID &&
-		a.Certified == b.Certified && bytes.Equal(a.Filter, b.Filter)
-}
-
 // onControl processes a subscription advertisement. The gob decode,
 // filter parsing and plan bookkeeping all happen outside n.mu — a
 // slow, huge or corrupt advertisement must never stall the publish
@@ -1339,11 +1371,30 @@ func (n *Node) onControl(_ string, payload []byte) {
 	} else {
 		res = n.routes.ApplySnapshot(ad.Node, ad.Seq, ad.Subs)
 	}
-	if res.NewNode {
-		// Anti-entropy: introduce ourselves to newly seen nodes so a
-		// late joiner learns the existing subscription tables. Full
-		// snapshot — the joiner has no delta base of ours.
-		n.advertise(true)
+	if res.Resync {
+		// Our copy of the sender's set can no longer be repaired by
+		// deltas: ask for a snapshot in our next ad.
+		n.mu.Lock()
+		n.resync = append(n.resync, ad.Node)
+		n.mu.Unlock()
+	}
+	// Anti-entropy: introduce ourselves to newly seen nodes so a late
+	// joiner learns the existing subscription tables. Full snapshot —
+	// the joiner has no delta base of ours.
+	snapshot := res.NewNode
+	if !snapshot && slices.Contains(ad.Resync, n.self) {
+		// A resync request is answered with a snapshot too, unless our
+		// last ad already was one: it covers every delta we sent, so
+		// repeated requests cost nothing until our set changes again.
+		n.mu.Lock()
+		snapshot = n.adsSinceSnap > 0
+		n.mu.Unlock()
+	}
+	switch {
+	case snapshot:
+		n.advertise(nil, nil, true)
+	case res.Resync:
+		n.advertise(nil, nil, false)
 	}
 	if res.Applied {
 		// Certified redelivery targets the routing plane's current

@@ -1,8 +1,12 @@
 package dace
 
 import (
+	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,6 +16,8 @@ import (
 	"govents/internal/core"
 	"govents/internal/filter"
 	"govents/internal/netsim"
+	"govents/internal/obvent"
+	"govents/internal/routing"
 )
 
 func TestCertifiedClassDeliversAfterPartitionHeals(t *testing.T) {
@@ -156,6 +162,7 @@ func TestDeliverySetEquivalenceAcrossPlacements(t *testing.T) {
 	type wave struct {
 		partitioned bool // published while {0,1} | {2,3} are split
 	}
+	quote := obvent.TypeName(obvent.TypeOf[StockQuote]())
 	run := func(placement Placement) map[string]bool {
 		net := netsim.New(netsim.Config{Seed: 21})
 		defer net.Close()
@@ -211,6 +218,7 @@ func TestDeliverySetEquivalenceAcrossPlacements(t *testing.T) {
 		}
 
 		expected := make(map[string]bool)
+		inbound := make(map[int]uint64) // envelopes routed to each subscriber node
 		waves := []wave{{false}, {true}, {false}, {true}, {false}}
 		for w, cfgW := range waves {
 			// Churn while fully connected: toggle a random subset.
@@ -230,15 +238,21 @@ func TestDeliverySetEquivalenceAcrossPlacements(t *testing.T) {
 				st.active = !st.active
 			}
 			// Converge: the publisher must know exactly the active set
-			// before the wave, so routing decisions are deterministic.
-			activeCount := 0
+			// before the wave, so routing decisions are deterministic. A
+			// count alone is not enough: a removal still in flight can
+			// balance an addition already applied.
+			want := make(map[string]bool)
 			for _, st := range subs {
 				if st.active {
-					activeCount++
+					want[fmt.Sprintf("node-%d/%s", st.node, st.sub.ID())] = true
 				}
 			}
 			waitFor(t, 10*time.Second, fmt.Sprintf("wave %d ad convergence", w), func() bool {
-				return pub.node.RemoteSubscriptionCount() == activeCount
+				known := make(map[string]bool)
+				pub.node.routes.ForEachConforming(quote, func(node string, info core.SubscriptionInfo) {
+					known[node+"/"+info.ID] = true
+				})
+				return maps.Equal(known, want)
 			})
 			net.Settle()
 
@@ -255,14 +269,20 @@ func TestDeliverySetEquivalenceAcrossPlacements(t *testing.T) {
 				if err := core.Publish(pub.engine, q); err != nil {
 					t.Fatal(err)
 				}
+				routed := make(map[int]bool)
 				for _, st := range subs {
-					if !st.active || !st.pred(q) {
-						continue
-					}
-					if cfgW.partitioned && st.node != 1 {
+					if !st.active || (cfgW.partitioned && st.node != 1) {
 						continue // unreachable: best-effort events are lost
 					}
-					waveExpected[st.label+"@"+q.Company] = true
+					if placement == AtSubscriber || st.pred(q) {
+						routed[st.node] = true
+					}
+					if st.pred(q) {
+						waveExpected[st.label+"@"+q.Company] = true
+					}
+				}
+				for n := range routed {
+					inbound[n]++
 				}
 			}
 			waitFor(t, 10*time.Second, fmt.Sprintf("wave %d deliveries", w), func() bool {
@@ -278,6 +298,17 @@ func TestDeliverySetEquivalenceAcrossPlacements(t *testing.T) {
 			for k := range waveExpected {
 				expected[k] = true
 			}
+			// Quiesce: every envelope routed to a subscriber must have
+			// entered its dispatch before the next churn, or a
+			// subscription activated then could receive it.
+			waitFor(t, 10*time.Second, fmt.Sprintf("wave %d dispatch", w), func() bool {
+				for n, want := range inbound {
+					if nodes[n].engine.Stats().EventsIn < want {
+						return false
+					}
+				}
+				return true
+			})
 			if cfgW.partitioned {
 				net.Heal()
 			}
@@ -318,6 +349,252 @@ func TestDeliverySetEquivalenceAcrossPlacements(t *testing.T) {
 	for k := range atPub {
 		if !atSub[k] {
 			t.Errorf("delivered at-publisher but not at-subscriber: %s", k)
+		}
+	}
+}
+
+// TestIncrementalControlPlaneEquivalence is the delta control plane's
+// property test. A subscriber churns randomly through Activate,
+// ActivateDurable and Deactivate and finally closes its engine. At
+// every quiescent point, the state each layer maintains change by
+// change must equal a from-scratch build: the subscriber's dispatch
+// table (core.Engine.CheckDispatchTable) and the publisher's routing
+// entry for the subscriber (compared with a fresh routing.Table fed one
+// snapshot of the active set, record by record and by the destinations
+// it routes to). The deliveries of events published between churn
+// rounds must equal the expectation and a WithNaiveDispatch run of the
+// same schedule.
+func TestIncrementalControlPlaneEquivalence(t *testing.T) {
+	quote := obvent.TypeName(obvent.TypeOf[StockQuote]())
+	stock := obvent.TypeName(obvent.TypeOf[StockObvent]())
+	// entryOf lists the subscriptions a routing table holds for node,
+	// sorted by ID. Every subscription of the test targets StockQuote or
+	// its supertype StockObvent, so the StockQuote class sees them all.
+	entryOf := func(tb *routing.Table, node string) []core.SubscriptionInfo {
+		var out []core.SubscriptionInfo
+		tb.ForEachConforming(quote, func(n string, info core.SubscriptionInfo) {
+			if n == node {
+				out = append(out, info)
+			}
+		})
+		sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+		return out
+	}
+	sameEntry := func(a, b []core.SubscriptionInfo) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i].ID != b[i].ID || a[i].TypeName != b[i].TypeName || a[i].DurableID != b[i].DurableID ||
+				a[i].Certified != b[i].Certified || !bytes.Equal(a[i].Filter, b[i].Filter) {
+				return false
+			}
+		}
+		return true
+	}
+
+	run := func(opts ...core.Option) map[string]bool {
+		net := netsim.New(netsim.Config{Seed: 5})
+		defer net.Close()
+		cfg := fastCfg()
+		cfg.Placement = AtPublisher // deliveries depend on the publisher's routing entry
+		nodes := newDomain(t, net, 2, cfg, opts...)
+		pub, sub := nodes[0], nodes[1]
+		subAddr := sub.node.Addr()
+		rng := rand.New(rand.NewSource(77))
+
+		var mu sync.Mutex
+		got := make(map[string]bool) // "label@event"
+		record := func(label, company string) {
+			mu.Lock()
+			got[label+"@"+company] = true
+			mu.Unlock()
+		}
+		type subState struct {
+			label   string
+			sub     *core.Subscription
+			filter  []byte
+			pred    func(StockObvent) bool
+			durable string // durable identity of the current activation
+			active  bool
+		}
+		var subs []*subState
+		for i := 0; i < 40; i++ {
+			st := &subState{label: fmt.Sprintf("s%02d", i)}
+			var f *filter.Expr
+			th := float64(100 * (1 + rng.Intn(9))) // few distinct thresholds: duplicate filters
+			switch i % 4 {
+			case 0:
+				st.pred = func(StockObvent) bool { return true }
+			case 1, 2:
+				f = filter.Path("GetPrice").Lt(filter.Float(th))
+				st.pred = func(q StockObvent) bool { return q.Price < th }
+			default:
+				f = filter.Or(filter.Path("GetPrice").Ge(filter.Float(th)),
+					filter.Path("GetCompany").Contains(filter.Str("Tel")))
+				st.pred = func(q StockObvent) bool { return q.Price >= th || strings.Contains(q.Company, "Tel") }
+			}
+			if f != nil {
+				b, err := filter.MarshalCanonical(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st.filter = b
+			}
+			label := st.label
+			var s *core.Subscription
+			var err error
+			if i%3 == 0 {
+				s, err = core.Subscribe(sub.engine, f, func(q StockObvent) { record(label, q.Company) })
+			} else {
+				s, err = core.Subscribe(sub.engine, f, func(q StockQuote) { record(label, q.Company) })
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.sub = s
+			subs = append(subs, st)
+		}
+
+		// check waits for the publisher to learn the subscriber's active
+		// set, then compares every incrementally maintained layer with
+		// its from-scratch counterpart.
+		check := func(when string) {
+			t.Helper()
+			var want []core.SubscriptionInfo
+			for _, st := range subs {
+				if st.active {
+					want = append(want, core.SubscriptionInfo{
+						ID: st.sub.ID(), TypeName: st.sub.TypeName(), Filter: st.filter, DurableID: st.durable,
+					})
+				}
+			}
+			sort.Slice(want, func(i, j int) bool { return want[i].ID < want[j].ID })
+			waitFor(t, 10*time.Second, when+": publisher learns the active set", func() bool {
+				return sameEntry(entryOf(pub.node.routes, subAddr), want)
+			})
+			if err := sub.engine.CheckDispatchTable(); err != nil {
+				t.Fatalf("%s: %v", when, err)
+			}
+			fresh := routing.NewTable(pub.node.Registry())
+			fresh.ApplySnapshot(subAddr, 1, want)
+			if e := entryOf(fresh, subAddr); !sameEntry(e, want) {
+				t.Fatalf("%s: fresh table holds %v, want %v", when, e, want)
+			}
+			for _, price := range []float64{50, 150, 450, 850, 950} {
+				for _, company := range []string{"Telco", "Acme"} {
+					q := StockQuote{StockObvent{Company: company, Price: price}}
+					for _, class := range []string{quote, stock} {
+						dec := func() any { return q }
+						if class == stock {
+							dec = func() any { return q.StockObvent }
+						}
+						g := pub.node.routes.Destinations(class, dec, nil)
+						w := fresh.Destinations(class, dec, nil)
+						if !slices.Equal(g, w) {
+							t.Fatalf("%s: %s %s@%v routes to %v, fresh table to %v", when, class, company, price, g, w)
+						}
+					}
+				}
+			}
+		}
+
+		expected := make(map[string]bool)
+		for round := 0; round < 6; round++ {
+			for k := 0; k < 25; k++ {
+				st := subs[rng.Intn(len(subs))]
+				var err error
+				switch {
+				case st.active:
+					err = st.sub.Deactivate()
+					st.durable = ""
+				case rng.Intn(3) == 0:
+					st.durable = fmt.Sprintf("dur-%s-%d", st.label, round)
+					err = st.sub.ActivateDurable(st.durable)
+				default:
+					err = st.sub.Activate()
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				st.active = !st.active
+			}
+			check(fmt.Sprintf("round %d", round))
+
+			waveExpected := make(map[string]bool)
+			for e := 0; e < 8; e++ {
+				base := StockObvent{
+					Company: fmt.Sprintf("r%d-e%d-%s", round, e, []string{"Telco", "Acme"}[rng.Intn(2)]),
+					Price:   float64(rng.Intn(1000)),
+				}
+				var err error
+				quoteEvent := e%4 != 3
+				if quoteEvent {
+					err = core.Publish(pub.engine, StockQuote{base})
+				} else {
+					err = core.Publish(pub.engine, base)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, st := range subs {
+					quoteSub := i%3 != 0
+					if st.active && st.pred(base) && (quoteEvent || !quoteSub) {
+						waveExpected[st.label+"@"+base.Company] = true
+					}
+				}
+			}
+			waitFor(t, 10*time.Second, fmt.Sprintf("round %d deliveries", round), func() bool {
+				mu.Lock()
+				defer mu.Unlock()
+				for k := range waveExpected {
+					if !got[k] {
+						return false
+					}
+				}
+				return true
+			})
+			for k := range waveExpected {
+				expected[k] = true
+			}
+		}
+
+		if err := sub.engine.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range subs {
+			st.active = false
+		}
+		check("after Close")
+
+		net.Settle()
+		mu.Lock()
+		defer mu.Unlock()
+		for k := range got {
+			if !expected[k] {
+				t.Errorf("unexpected delivery %s", k)
+			}
+		}
+		out := make(map[string]bool, len(got))
+		for k := range got {
+			out[k] = true
+		}
+		return out
+	}
+
+	indexed := run()
+	naive := run(core.WithNaiveDispatch())
+	if len(indexed) == 0 {
+		t.Fatal("indexed run delivered nothing; workload broken")
+	}
+	for k := range indexed {
+		if !naive[k] {
+			t.Errorf("delivered by the indexed dispatch only: %s", k)
+		}
+	}
+	for k := range naive {
+		if !indexed[k] {
+			t.Errorf("delivered by the naive dispatch only: %s", k)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -269,8 +270,13 @@ func TestDeltaAdvertisementsOnTheWire(t *testing.T) {
 		return pub.node.RemoteSubscriptionCount() == 2
 	})
 
+	// The observer's copy of the stream lags the publisher's: wait for
+	// the removal's ad itself, not just for enough ads.
 	waitFor(t, 5*time.Second, "observer saw the ad stream", func() bool {
-		return len(obs.from("node-1")) >= 4
+		ads := obs.from("node-1")
+		return len(ads) >= 4 && slices.ContainsFunc(ads, func(ad subscriptionAd) bool {
+			return ad.Delta && len(ad.Removed) > 0
+		})
 	})
 	ads := obs.from("node-1")
 	var sawSnapshot, sawDeltaAdd, sawDeltaRemove bool
@@ -418,5 +424,102 @@ func TestMembershipDepartureDropsRoutingState(t *testing.T) {
 	}
 	if subs := pub.node.certSubscribersFor(obvent.TypeName(obvent.TypeOf[StockQuote]())); len(subs) != 1 {
 		t.Errorf("cert subscribers after departure = %v, want only node-1's", subs)
+	}
+}
+
+// TestBrokenDeltaChainIsResynced pins both ends of the resync request.
+// A node whose copy of a peer's delta chain broke (a parked delta had to
+// be dropped) names the peer in its next ad's Resync; a node named in a
+// Resync answers with a full snapshot — once, while its set is
+// unchanged.
+func TestBrokenDeltaChainIsResynced(t *testing.T) {
+	net := netsim.New(netsim.Config{})
+	defer net.Close()
+	nodes := newDomain(t, net, 1, fastCfg())
+	n := nodes[0].node
+	var subs []*core.Subscription
+	for i := 0; i < 2; i++ {
+		s, err := core.Subscribe(nodes[0].engine, nil, func(StockQuote) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs = append(subs, s)
+	}
+	if err := subs[0].Activate(); err != nil {
+		t.Fatal(err)
+	}
+	s := subs[1]
+
+	ep, err := net.NewEndpoint("observer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := multicast.NewMux(ep)
+	obs := &adObserver{}
+	ctrl := multicast.NewReliable(mux, "dace/ctrl", obs.onControl, fastCfg().Multicast)
+	defer ctrl.Close()
+	peers := []string{"node-0", "observer"}
+	ctrl.SetMembers(peers)
+	n.SetPeers(peers)
+	introduceObserver(t, ctrl, n)
+	send := func(ad subscriptionAd) {
+		t.Helper()
+		ad.Node, ad.Ver = "observer", adSchemaVersion
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(ad); err != nil {
+			t.Fatal(err)
+		}
+		if err := ctrl.Broadcast(buf.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The observer's seq 2 is lost: deltas 3.. park until one is dropped.
+	for seq := uint64(3); seq < 40; seq++ {
+		send(subscriptionAd{Seq: seq, Delta: true, BaseSeq: seq - 1})
+	}
+	waitFor(t, 5*time.Second, "node asks the observer for a snapshot", func() bool {
+		for _, ad := range obs.from("node-0") {
+			if slices.Contains(ad.Resync, "observer") {
+				return true
+			}
+		}
+		return false
+	})
+
+	// Answering: a delta first (so our last ad is not a snapshot), then
+	// two requests. Only the first costs a snapshot.
+	mark := len(obs.from("node-0"))
+	if err := s.Activate(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, "the delta reaches the observer", func() bool {
+		for _, ad := range obs.from("node-0")[mark:] {
+			if ad.Delta && len(ad.Subs) == 1 {
+				return true
+			}
+		}
+		return false
+	})
+	mark = len(obs.from("node-0"))
+	send(subscriptionAd{Seq: 100, Resync: []string{"node-0"}})
+	send(subscriptionAd{Seq: 101, Resync: []string{"node-0"}})
+	waitFor(t, 5*time.Second, "node answers with a snapshot", func() bool {
+		for _, ad := range obs.from("node-0")[mark:] {
+			if !ad.Delta {
+				return true
+			}
+		}
+		return false
+	})
+	time.Sleep(50 * time.Millisecond)
+	snapshots := 0
+	for _, ad := range obs.from("node-0")[mark:] {
+		if !ad.Delta {
+			snapshots++
+		}
+	}
+	if snapshots != 1 {
+		t.Errorf("%d snapshots answered two resync requests, want 1", snapshots)
 	}
 }

@@ -32,7 +32,11 @@
 // snapshots replace a node's state when newer, deltas (add/remove by
 // subscription ID) apply only on top of the exact base sequence they
 // were diffed against and are otherwise parked until the chain closes —
-// the control channel is reliable but unordered.
+// the control channel is reliable but unordered. A snapshot keeps the
+// parsed filter of every record it repeats byte for byte, so only new or
+// changed filters are parsed; a chain that can no longer close (a
+// parked delta had to be dropped) is reported as Resync, for the caller
+// to ask the node for a snapshot.
 package routing
 
 import (
@@ -64,7 +68,12 @@ type Table struct {
 	// the previous incarnation's high sequence — forever, since stale
 	// ads still refresh lastSeen. See NoteEpoch.
 	epochs map[string]int64
-	gen    atomic.Uint64 // bumped on every applied mutation
+	// departed holds the nodes a membership change dropped (RetainNodes,
+	// RemoveNode). Their ads still in flight must not bring them back,
+	// so ads from a departed node are ignored until a membership change
+	// includes it again.
+	departed map[string]bool
+	gen      atomic.Uint64 // bumped on every applied mutation
 
 	// adTTL is the silent-node expiry: a node whose last advertisement
 	// (of any kind — stale and deferred ads also prove liveness) is
@@ -106,6 +115,12 @@ type nodeState struct {
 	// lastSeen is when the node last advertised anything (liveness for
 	// the silent-TTL expiry).
 	lastSeen time.Time
+	// lost is the highest sequence of a parked delta that had to be
+	// dropped (0: none): the node's chain cannot close past it, so only
+	// a full snapshot at or beyond lost repairs the entry. asked records
+	// that Resync was reported and a snapshot is on its way.
+	lost  uint64
+	asked bool
 }
 
 // subRecord is one advertised subscription with its filter compiled.
@@ -118,9 +133,10 @@ type subRecord struct {
 }
 
 // maxPendingDeltas bounds how many out-of-order deltas are parked per
-// node. Senders force a full snapshot at least every 8 deltas, so
-// legitimate chains never need more; anything beyond is a buggy or
-// hostile peer.
+// node, so a buggy or hostile peer cannot grow the table without limit.
+// A delta dropped from a full park breaks the node's chain; the table
+// then reports Resync so the receiver can ask the sender for a full
+// snapshot instead of waiting for its next periodic one.
 const maxPendingDeltas = 16
 
 // delta is a parked delta advertisement.
@@ -141,6 +157,10 @@ type ApplyResult struct {
 	NewNode bool
 	// Deferred is true when a delta was parked awaiting its base.
 	Deferred bool
+	// Resync is true when the node's delta chain broke — a parked
+	// delta had to be dropped — so only a full snapshot from the node
+	// can bring its entry up to date. Reported once per break.
+	Resync bool
 }
 
 // classCounters is the per-class atomic form of Stats' routing half.
@@ -246,10 +266,11 @@ type matchScratch struct {
 // with the node's engine, so conformance agrees with dispatch).
 func NewTable(reg *obvent.Registry) *Table {
 	t := &Table{
-		reg:    reg,
-		nodes:  make(map[string]*nodeState),
-		epochs: make(map[string]int64),
-		now:    time.Now,
+		reg:      reg,
+		nodes:    make(map[string]*nodeState),
+		epochs:   make(map[string]int64),
+		departed: make(map[string]bool),
+		now:      time.Now,
 	}
 	t.match.New = func() any { return &matchScratch{} }
 	return t
@@ -268,12 +289,18 @@ func (t *Table) SetAdTTL(d time.Duration) {
 
 // --- advertisement ingestion ---
 
-// toRecords compiles advertised filters outside any lock.
-func toRecords(infos []core.SubscriptionInfo) []subRecord {
+// toRecords compiles advertised filters outside any lock. parsed, when
+// non-nil, holds per info an already-parsed filter to keep (see
+// reusableLocked); only the filters without one are parsed, so a
+// snapshot costs one parse per new or changed filter, not one per
+// subscription.
+func toRecords(infos []core.SubscriptionInfo, parsed []*filter.Expr) []subRecord {
 	recs := make([]subRecord, 0, len(infos))
-	for _, info := range infos {
+	for i, info := range infos {
 		r := subRecord{info: info}
-		if len(info.Filter) > 0 {
+		if parsed != nil && parsed[i] != nil {
+			r.expr = parsed[i]
+		} else if len(info.Filter) > 0 {
 			if expr, err := filter.Unmarshal(info.Filter); err == nil {
 				r.expr = expr
 			}
@@ -283,14 +310,46 @@ func toRecords(infos []core.SubscriptionInfo) []subRecord {
 	return recs
 }
 
+// reusableLocked matches a snapshot's infos against a node's applied
+// records. parsed holds, per info, the parsed filter of the applied
+// record with a byte-identical info (infoEqual), else nil; same reports
+// whether the snapshot equals the applied set (nil cur — no snapshot
+// applied yet — never does, so a first snapshot always counts as a
+// change). Comparison is by advertised bytes only, so heartbeat
+// snapshots are recognized without parsing a single filter.
+func reusableLocked(cur map[string]subRecord, infos []core.SubscriptionInfo) (parsed []*filter.Expr, same bool) {
+	same = cur != nil && len(cur) == len(infos)
+	for i, info := range infos {
+		prev, ok := cur[info.ID]
+		if !ok || !infoEqual(prev.info, info) {
+			same = false
+			continue
+		}
+		if prev.expr != nil {
+			if parsed == nil {
+				parsed = make([]*filter.Expr, len(infos))
+			}
+			parsed[i] = prev.expr
+		}
+	}
+	return parsed, same
+}
+
 // ApplySnapshot ingests a full snapshot advertisement: node's complete
 // subscription set at sequence seq. Snapshots are idempotent and
 // newest-wins; a snapshot additionally drains any parked deltas that
 // chain directly onto it. A snapshot identical to the applied state (a
 // liveness heartbeat) advances the sequence and refreshes lastSeen but
-// does not invalidate compiled plans.
+// does not invalidate compiled plans. Records the snapshot repeats
+// byte for byte keep their parsed filters; only new or changed filters
+// are parsed.
 func (t *Table) ApplySnapshot(node string, seq uint64, subs []core.SubscriptionInfo) ApplyResult {
 	t.mu.Lock()
+	if t.departed[node] {
+		t.adsStale.Add(1)
+		t.mu.Unlock()
+		return ApplyResult{}
+	}
 	st, res := t.nodeLocked(node)
 	st.lastSeen = t.now()
 	if st.subs != nil && seq <= st.seq {
@@ -298,12 +357,14 @@ func (t *Table) ApplySnapshot(node string, seq uint64, subs []core.SubscriptionI
 		t.mu.Unlock()
 		return res
 	}
-	if sameSubsLocked(st.subs, subs) {
+	parsed, same := reusableLocked(st.subs, subs)
+	if same {
 		// Heartbeat snapshot: nothing changed, so skip filter
 		// recompilation entirely — advance the sequence, drain any
 		// parked deltas that now chain, and leave compiled plans
 		// alone unless a drained delta changed something.
 		st.seq = seq
+		res.Resync = st.resyncedLocked()
 		t.adsRefreshed.Add(1)
 		changed := t.drainLocked(st)
 		if changed {
@@ -315,12 +376,17 @@ func (t *Table) ApplySnapshot(node string, seq uint64, subs []core.SubscriptionI
 	}
 	t.mu.Unlock()
 
-	recs := toRecords(subs) // parse filters outside the lock
+	recs := toRecords(subs, parsed) // parse filters outside the lock
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	// Reacquire the state: it may have been expired or advanced while
-	// the filters were compiling (NewNode was already captured above).
+	// Reacquire the state: it may have been expired, dropped or advanced
+	// while the filters were compiling (NewNode was already captured
+	// above).
+	if t.departed[node] {
+		t.adsStale.Add(1)
+		return res
+	}
 	st, _ = t.nodeLocked(node)
 	st.lastSeen = t.now()
 	if st.subs != nil && seq <= st.seq {
@@ -332,11 +398,29 @@ func (t *Table) ApplySnapshot(node string, seq uint64, subs []core.SubscriptionI
 		st.subs[r.info.ID] = r
 	}
 	st.seq = seq
+	res.Resync = st.resyncedLocked()
 	t.adsApplied.Add(1)
 	t.drainLocked(st)
 	t.gen.Add(1)
 	res.Applied = true
 	return res
+}
+
+// resyncedLocked settles a node's lost deltas after one of its
+// snapshots applied at st.seq, and reports whether another snapshot
+// must be asked for: the dropped delta is newer than this snapshot, so
+// the snapshot answering the last request was sent before the loss.
+func (st *nodeState) resyncedLocked() bool {
+	st.asked = false
+	if st.lost == 0 {
+		return false
+	}
+	if st.seq >= st.lost {
+		st.lost = 0
+		return false
+	}
+	st.asked = true
+	return true
 }
 
 // NoteEpoch records the advertised incarnation of a node before its ad
@@ -370,24 +454,6 @@ func (t *Table) NoteEpoch(node string, epoch int64) bool {
 	return true
 }
 
-// sameSubsLocked reports whether the applied subscription map equals
-// the incoming snapshot (nil subs — no snapshot applied yet — never
-// equals, so a first snapshot always counts as a change). Comparison is
-// by advertised bytes only, so heartbeat snapshots are recognized
-// without parsing a single filter.
-func sameSubsLocked(cur map[string]subRecord, subs []core.SubscriptionInfo) bool {
-	if cur == nil || len(cur) != len(subs) {
-		return false
-	}
-	for _, info := range subs {
-		prev, ok := cur[info.ID]
-		if !ok || !infoEqual(prev.info, info) {
-			return false
-		}
-	}
-	return true
-}
-
 // infoEqual reports whether two advertised descriptions are identical
 // (filters compare by canonical wire bytes).
 func infoEqual(a, b core.SubscriptionInfo) bool {
@@ -401,10 +467,14 @@ func infoEqual(a, b core.SubscriptionInfo) bool {
 // order) and applied when the chain closes; one already overtaken is
 // discarded.
 func (t *Table) ApplyDelta(node string, seq, baseSeq uint64, add []core.SubscriptionInfo, remove []string) ApplyResult {
-	recs := toRecords(add)
+	recs := toRecords(add, nil)
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.departed[node] {
+		t.adsStale.Add(1)
+		return ApplyResult{}
+	}
 	st, res := t.nodeLocked(node)
 	st.lastSeen = t.now()
 	if st.subs != nil && seq <= st.seq {
@@ -414,11 +484,10 @@ func (t *Table) ApplyDelta(node string, seq, baseSeq uint64, add []core.Subscrip
 	d := &delta{seq: seq, add: recs, remove: remove}
 	if st.subs == nil || st.seq != baseSeq {
 		// Base not applied yet: park until the chain closes. The park
-		// is bounded — a peer forces a snapshot every snapshotEvery
-		// deltas, so chains longer than that cannot be required, and an
-		// unbounded park would let a buggy or malicious peer grow the
-		// table without limit. When full, the farthest-future delta is
-		// dropped; the sender's next snapshot resynchronizes.
+		// is bounded: an unbounded park would let a buggy or malicious
+		// peer grow the table without limit. When full, the
+		// farthest-future delta is dropped, which breaks the chain until
+		// the sender's next snapshot; Resync asks for one.
 		if st.pending == nil {
 			st.pending = make(map[uint64]*delta)
 		}
@@ -432,7 +501,12 @@ func (t *Table) ApplyDelta(node string, seq, baseSeq uint64, add []core.Subscrip
 					maxBase = base
 				}
 			}
+			st.lost = max(st.lost, st.pending[maxBase].seq)
 			delete(st.pending, maxBase)
+			if !st.asked {
+				st.asked = true
+				res.Resync = true
+			}
 		}
 		t.adsDeferred.Add(1)
 		res.Deferred = true
@@ -505,13 +579,15 @@ func (t *Table) drainLocked(st *nodeState) bool {
 	}
 }
 
-// RemoveNode forgets a node entirely (membership departure).
+// RemoveNode forgets a node entirely (membership departure); its ads
+// are ignored until RetainNodes lists it again.
 func (t *Table) RemoveNode(node string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if _, ok := t.nodes[node]; !ok {
 		return
 	}
+	t.departed[node] = true
 	delete(t.nodes, node)
 	delete(t.epochs, node)
 	t.gen.Add(1)
@@ -519,7 +595,8 @@ func (t *Table) RemoveNode(node string) {
 
 // RetainNodes forgets every node not in members — the membership-change
 // hook: a departed node must stop receiving events and stop being owed
-// certified deliveries, and its state must not pin table memory.
+// certified deliveries, and its state must not pin table memory. Ads
+// from a forgotten node are ignored until members lists it again.
 func (t *Table) RetainNodes(members []string) {
 	keep := make(map[string]bool, len(members))
 	for _, m := range members {
@@ -527,9 +604,13 @@ func (t *Table) RetainNodes(members []string) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	for _, m := range members {
+		delete(t.departed, m)
+	}
 	changed := false
 	for node := range t.nodes {
 		if !keep[node] {
+			t.departed[node] = true
 			delete(t.nodes, node)
 			delete(t.epochs, node)
 			changed = true
@@ -547,8 +628,8 @@ func (t *Table) RetainNodes(members []string) {
 // deliveries, and table memory. It returns the dropped node addresses.
 // No-op when no TTL is configured. A wrongly expired node (e.g. one
 // whose heartbeats were delayed) re-enters as a new node on its next
-// full-snapshot advertisement — forced at least every snapshotEvery
-// deltas by the sender — which also triggers anti-entropy; its delta
+// full-snapshot advertisement (the sender forces one at least every
+// snapshotEvery heartbeats), which also triggers anti-entropy; its delta
 // heartbeats in between are parked, so the mis-expiry window is
 // bounded by a few heartbeat periods.
 func (t *Table) ExpireSilent(exclude ...string) []string {

@@ -523,3 +523,134 @@ func TestPerClassStatsFoldAccessorCounters(t *testing.T) {
 		t.Errorf("StatsByClass.AccessorPrograms = %d, want 1", got)
 	}
 }
+
+// TestSnapshotReusesParsedFilters pins snapshot ingestion's reuse rule:
+// a record the new snapshot repeats byte for byte keeps its parsed
+// filter (the same *filter.Expr), a record changed under the same ID is
+// re-parsed, and the resulting plans route exactly as a table that
+// parsed the second snapshot from scratch.
+func TestSnapshotReusesParsedFilters(t *testing.T) {
+	reg := newReg(t)
+	first := []core.SubscriptionInfo{
+		info(t, "a1", quoteClass(), priceLt(100)),
+		info(t, "a2", quoteClass(), filter.Path("GetCompany").Contains(filter.Str("Tel"))),
+		info(t, "a3", stockClass(), priceLt(10)),
+		info(t, "a4", quoteClass(), nil),
+	}
+	second := []core.SubscriptionInfo{
+		first[0],
+		info(t, "a2", quoteClass(), priceLt(700)), // changed under the same ID
+		first[2],
+		first[3],
+		info(t, "a5", quoteClass(), filter.Path("GetPrice").Ge(filter.Float(900))), // added
+	}
+
+	tb := NewTable(reg)
+	tb.ApplySnapshot("node-a", 1, first)
+	before := make(map[string]*filter.Expr)
+	for id, r := range tb.nodes["node-a"].subs {
+		before[id] = r.expr
+	}
+	if res := tb.ApplySnapshot("node-a", 2, second); !res.Applied {
+		t.Fatal("second snapshot not applied")
+	}
+	after := tb.nodes["node-a"].subs
+	for _, id := range []string{"a1", "a3"} {
+		if after[id].expr == nil || after[id].expr != before[id] {
+			t.Errorf("%s: unchanged record was re-parsed (or lost its filter)", id)
+		}
+	}
+	if after["a4"].expr != nil {
+		t.Error("a4: filterless record gained a filter")
+	}
+	if after["a2"].expr == nil || after["a2"].expr == before["a2"] {
+		t.Error("a2: changed record kept its stale parsed filter")
+	}
+	if after["a5"].expr == nil {
+		t.Error("a5: added record's filter was not parsed")
+	}
+
+	fresh := NewTable(reg)
+	fresh.ApplySnapshot("node-a", 2, second)
+	// Without the filterless a4 the node's filters decide, so route
+	// both tables again with a4 dropped by a delta.
+	for _, tab := range []*Table{tb, fresh} {
+		tab.ApplyDelta("node-a", 3, 2, nil, []string{"a4"})
+	}
+	for _, ev := range []stockQuote{
+		{stockObvent{Company: "Telco", Price: 50}},
+		{stockObvent{Company: "Telco", Price: 800}},
+		{stockObvent{Company: "Acme", Price: 650}},
+		{stockObvent{Company: "Acme", Price: 950}},
+		{stockObvent{Company: "Acme", Price: 5}},
+	} {
+		for _, class := range []string{quoteClass(), stockClass()} {
+			got, want := dests(tb, class, ev), dests(fresh, class, ev)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("class %s, event %+v: routed to %v, fresh table routes to %v", class, ev, got, want)
+			}
+		}
+	}
+}
+
+// TestChainBreakAsksForResync pins the repair path of a broken delta
+// chain: the first delta dropped from a full park reports Resync (once),
+// a snapshot older than the dropped delta asks again, and a snapshot at
+// or past it repairs the entry.
+func TestChainBreakAsksForResync(t *testing.T) {
+	tb := NewTable(newReg(t))
+	tb.ApplySnapshot("node-a", 1, []core.SubscriptionInfo{info(t, "a1", quoteClass(), nil)})
+	// Seq 2 never arrives: every later delta parks, and the park fills.
+	resyncs := 0
+	for seq := uint64(3); seq < 3+2*maxPendingDeltas; seq++ {
+		if tb.ApplyDelta("node-a", seq, seq-1, []core.SubscriptionInfo{info(t, fmt.Sprint("x", seq), quoteClass(), nil)}, nil).Resync {
+			resyncs++
+		}
+	}
+	if resyncs != 1 {
+		t.Fatalf("Resync reported %d times for one break, want 1", resyncs)
+	}
+	last := uint64(2 + 2*maxPendingDeltas)
+	// A snapshot sent before the last dropped delta cannot repair it.
+	if res := tb.ApplySnapshot("node-a", last-1, []core.SubscriptionInfo{info(t, "a1", quoteClass(), nil)}); !res.Resync {
+		t.Error("a snapshot older than the dropped delta did not ask again")
+	}
+	if res := tb.ApplySnapshot("node-a", last, []core.SubscriptionInfo{info(t, "a2", quoteClass(), nil)}); res.Resync || !res.Applied {
+		t.Errorf("snapshot past the dropped delta: %+v, want applied without Resync", res)
+	}
+	// The entry is repaired: the next delta chains again.
+	res := tb.ApplyDelta("node-a", last+1, last, []core.SubscriptionInfo{info(t, "a3", quoteClass(), nil)}, nil)
+	if !res.Applied || res.Resync {
+		t.Errorf("delta after the repair: %+v, want applied", res)
+	}
+	if got := tb.SubscriptionCount(""); got != 2 {
+		t.Errorf("SubscriptionCount = %d, want 2", got)
+	}
+}
+
+// TestDepartedNodeStaysOut pins the membership hook against traffic in
+// flight: an ad from a node a membership change dropped must not bring
+// it back, until a membership change lists it again.
+func TestDepartedNodeStaysOut(t *testing.T) {
+	tb := NewTable(newReg(t))
+	tb.ApplySnapshot("node-a", 1, []core.SubscriptionInfo{info(t, "a1", quoteClass(), nil)})
+	tb.ApplySnapshot("node-b", 1, []core.SubscriptionInfo{info(t, "b1", quoteClass(), nil)})
+	tb.RetainNodes([]string{"node-a"})
+
+	// node-b's ads sent before it left arrive late.
+	if res := tb.ApplySnapshot("node-b", 2, []core.SubscriptionInfo{info(t, "b1", quoteClass(), nil)}); res.Applied || res.NewNode {
+		t.Errorf("late snapshot from a departed node: %+v", res)
+	}
+	if res := tb.ApplyDelta("node-b", 3, 2, []core.SubscriptionInfo{info(t, "b2", quoteClass(), nil)}, nil); res.Applied || res.NewNode || res.Deferred {
+		t.Errorf("late delta from a departed node: %+v", res)
+	}
+	if got := dests(tb, quoteClass(), stockQuote{}); !reflect.DeepEqual(got, []string{"node-a"}) {
+		t.Errorf("departed node routed to again: %v", got)
+	}
+
+	// Rejoining through membership lets its ads in again.
+	tb.RetainNodes([]string{"node-a", "node-b"})
+	if res := tb.ApplySnapshot("node-b", 4, []core.SubscriptionInfo{info(t, "b1", quoteClass(), nil)}); !res.Applied || !res.NewNode {
+		t.Errorf("snapshot after rejoining: %+v, want applied from a new node", res)
+	}
+}
